@@ -1,27 +1,35 @@
 """Incremental updating after an edge-edit batch (paper Section IV, Alg. 2).
 
-Dataflow note: the frontier, delta, and affected-vertex frames are small
-relative to the label/choice tables, so every join against a big table
-broadcasts the small side explicitly (``F.broadcast``). This is the
-DataFrame equivalent of the paper's point that Correction Propagation sends
-*small messages to receivers* rather than reshuffling global state — and it
-is what makes the incremental path cheaper than from-scratch resolution
-(whose pointer-doubling self-joins are inherently big-big shuffles). The
-session-level broadcast-join ban from conftest stays in force for
-everything else.
+Where the data lives. Every frame whose size follows the batch is held on
+the driver as pandas: the edit keys, the affected vertices' old adjacency
+and choice rows, the phase-1 decisions, each round's messages and the final
+label overlay. The O(T·|V|) tables (edges, adjacency, choices, labels) stay
+in Spark and are only *probed* with ``F.broadcast`` joins against those
+small frames, so a probe costs one Spark action and never reshuffles global
+state — the dataflow form of the paper's point that Correction Propagation
+sends small messages to receivers (Section IV-B/C). Driver memory is bounded
+by O(|affected|·T) rows for phase 1, plus one round's messages, plus the
+O(η) overlay of every round's messages (η = labels needing update, Eq. 8).
+
+Spark actions per batch: one to collect the batch keys, one for the touched
+vertices' old adjacency, one checkpoint each for the new edge and adjacency
+tables, one for the affected vertices' old choice rows, one label lookup for
+the re-picked rows' sources, **one per correction round**, and one label
+lookup for the η accounting (skipped with ``compute_stats=False``).
 
 Two phases, exactly as the paper structures them:
 
-**1. Handling adjacent edge changes** (Section IV-A). Every (vertex,
-iteration) row of the choice table is classified into the paper's three
-categories and re-picked only when required:
+**1. Handling adjacent edge changes** (Section IV-A). The edit diff comes
+from the batch keys and the touched vertices' old neighbor arrays; only
+affected vertices get patched neighbor arrays. Every (vertex, iteration) row
+of an affected vertex is classified into the paper's three categories and
+re-picked only when required (``repro.core.choices.repick_arrays``):
 
 * Category 1 (no neighbor change) — row untouched (vertex not in the
   affected set at all).
 * Category 2 (only lost neighbors) — re-pick iff the recorded ``src`` was
   removed; Theorem 4 guarantees a kept ``src`` is still uniform over the
-  remaining neighbors. The membership test is ``src ∉ new_nbrs`` (legal
-  because ``src ∈ old_nbrs`` by construction).
+  remaining neighbors.
 * Category 3 (gained neighbors, possibly also lost some) — if ``src`` was
   removed, re-pick over all current neighbors; otherwise keep with
   probability ``n_u/(n_u+n_a)`` else pick uniformly among the *added*
@@ -33,32 +41,39 @@ are missing (new, or previously degree-0) re-picks everything; a vertex that
 drops to degree 0 loses its rows (its sequence reverts to ``(i)``).
 
 **2. Correction Propagation** (Section IV-B/C, Algorithm 2). Re-picked rows
-form the dirty frontier; each round fetches ``l_src^pos`` for the frontier,
-applies value changes, and forwards them to the *receivers* — the rows whose
-``(src, pos)`` equals a changed ``(id, t)``. The paper materializes receiver
-records ``R_i``; here the choice table itself is the record and receivers
-are recovered by the reverse equi-join on ``(src, pos)`` — the same
-information, maintained for free (DESIGN.md Section 2). Because a receiver's
-iteration is strictly larger than its source's, the loop terminates within T
-rounds; in practice it runs for the depth of the perturbed propagation
-trees, which is O(log T) in expectation.
+form the first message frame: each carries the label of its new
+``(src, pos)``, read from the pre-update labels. Each round delivers the
+messages to their *receivers* — the rows whose ``(src, pos)`` equals a
+message's ``(id, t)`` — which become the next round's messages, carrying the
+same label value. The paper materializes receiver records ``R_i``; here the
+choice table itself is the record and receivers are recovered by the reverse
+equi-join on ``(src, pos)`` — the same information, maintained for free
+(DESIGN.md Section 2). Because a receiver's iteration is strictly larger
+than its source's, the loop terminates within T rounds; in practice it runs
+for the depth of the perturbed propagation trees, O(log T) in expectation.
+Latest write wins: a row's new label is the one of the last round that
+reached it.
 
-The final label table provably equals a from-scratch resolution of the
-updated choice table — the paper's "same communities as from scratch" claim,
-asserted bit-for-bit in tests.
+The new choice and label tables are lazy overlays (one broadcast anti-join
+plus a union with the small driver frame) over the previous tables; nothing
+O(T·|V|) is rewritten unless ``materialize`` asks for it. The final label
+table provably equals a from-scratch resolution of the updated choice table
+— the paper's "same communities as from scratch" claim, asserted
+bit-for-bit in tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import List
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
-from repro.core import graph as G
-from repro.core import rand
-from repro.core.rslpa import RslpaState
-from repro.core.spark_rand import mod_udf, unit_udf
+from repro.core.choices import pairs_in, repick_arrays
+from repro.core.rslpa import STATE_PARTS, RslpaState
 
 
 @dataclass
@@ -75,6 +90,66 @@ class UpdateStats:
     round_deltas: List[int] = field(default_factory=list)  # messages/round
 
 
+def _batch_keys(inserts: DataFrame | None, deletes: DataFrame | None):
+    """The batch's distinct canonical keys (n×2, ``src < dst``) with masks
+    ``(inserted, deleted)``; self-loops are dropped. One Spark action."""
+    parts = [
+        df.select("src", "dst", F.lit(flag).alias("ins"))
+        for df, flag in ((inserts, True), (deletes, False))
+        if df is not None
+    ]
+    if not parts:
+        return np.empty((0, 2), np.int64), np.empty(0, bool), np.empty(0, bool)
+    frame = parts[0] if len(parts) == 1 else parts[0].unionByName(parts[1])
+    pdf = frame.toPandas()
+    s, d = pdf["src"].to_numpy(np.int64), pdf["dst"].to_numpy(np.int64)
+    ins = pdf["ins"].to_numpy(bool)
+    pairs = np.stack([np.minimum(s, d), np.maximum(s, d)], axis=1)
+    loop = pairs[:, 0] == pairs[:, 1]
+    pairs, ins = pairs[~loop], ins[~loop]
+    keys = np.unique(pairs, axis=0)
+    return keys, pairs_in(keys, pairs[ins]), pairs_in(keys, pairs[~ins])
+
+
+def _frame(like: DataFrame, pdf: pd.DataFrame) -> DataFrame:
+    """``pdf`` as a Spark frame with the column types of ``like``."""
+    schema = T.StructType([like.schema[c] for c in pdf.columns])
+    return like.sparkSession.createDataFrame(pdf, schema)
+
+
+def _lookup(table: DataFrame, keys: pd.DataFrame) -> pd.DataFrame:
+    """Rows of ``table`` matching ``keys`` on its columns: one Spark action."""
+    probe = F.broadcast(_frame(table, keys))
+    return table.join(probe, list(keys.columns)).toPandas()
+
+
+def _patch(table: DataFrame, drop: pd.DataFrame, rows: pd.DataFrame) -> DataFrame:
+    """Lazy overlay: ``table`` minus its rows matching ``drop`` on its
+    columns, plus ``rows``."""
+    kept = table.join(F.broadcast(_frame(table, drop)), list(drop.columns), "left_anti")
+    return kept.unionByName(_frame(table, rows[table.columns]).coalesce(1))
+
+
+def _sorted_pairs(pairs: np.ndarray) -> np.ndarray:
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def _both_ways(edges: np.ndarray) -> np.ndarray:
+    return np.concatenate([edges, edges[:, ::-1]])
+
+
+def _csr(pairs: np.ndarray, ids: np.ndarray):
+    """CSR ``(flat, offsets)`` of the sorted ``ids``' neighbor arrays, from
+    sorted (id, nbr) pairs whose ids all appear in ``ids``."""
+    return pairs[:, 1], np.append(np.searchsorted(pairs[:, 0], ids), len(pairs))
+
+
+def _rows(ids: np.ndarray, ts: np.ndarray, **cols) -> pd.DataFrame:
+    """One row per (id, t) of the grid ``ids × ts``, in (id, t) order."""
+    grid = {"id": np.repeat(ids, len(ts)), "t": np.tile(ts, len(ids))}
+    return pd.DataFrame({**grid, **cols})
+
+
 def apply_batch(
     state: RslpaState,
     inserts: DataFrame | None,
@@ -84,245 +159,148 @@ def apply_batch(
 ) -> tuple[RslpaState, UpdateStats]:
     """Evolve ``state`` under one batch of edge inserts/deletes.
 
-    ``materialize=True`` checkpoints the updated label/choice tables (an
-    O(T·|V|) rewrite) — useful before a long run of subsequent batches to
-    cap lineage depth; by default the new state is a lazy overlay over the
-    previous checkpointed state. ``compute_stats=False`` skips the η
-    accounting joins (pure timing runs; η then reads -1).
+    Set semantics per batch: deletes apply after inserts, so an edge both
+    inserted and deleted ends up absent. ``materialize=True`` checkpoints the
+    updated label/choice tables (an O(T·|V|) rewrite) — useful before a long
+    run of subsequent batches to cap lineage depth; by default the new state
+    is a lazy overlay over the previous checkpointed state.
+    ``compute_stats=False`` skips the η accounting lookup (pure timing runs;
+    η then reads -1).
     """
     n_iters, seed = state.n_iters, state.seed
     epoch = state.epoch + 1
+    ts = np.arange(1, n_iters + 1, dtype=np.int32)
+    ts0 = np.arange(n_iters + 1, dtype=np.int32)
 
-    new_edges = G.apply_edits(state.edges, inserts, deletes).localCheckpoint(
-        eager=True
+    # --- Edit diff: batch keys against the touched vertices' old neighbors --
+    keys, inserted, deleted = _batch_keys(inserts, deletes)
+    old_adj = _lookup(state.adjacency, pd.DataFrame({"id": np.unique(keys)}))
+    old_pairs = np.stack(
+        [
+            np.repeat(old_adj["id"].to_numpy(np.int64), old_adj["nbrs"].map(len)),
+            np.concatenate([np.empty(0, np.int64), *old_adj["nbrs"]]),
+        ],
+        axis=1,
     )
-    removed_e = state.edges.join(
-        new_edges, ["src", "dst"], "left_anti"
-    ).localCheckpoint(eager=True)
-    added_e = new_edges.join(
-        state.edges, ["src", "dst"], "left_anti"
-    ).localCheckpoint(eager=True)
-    m_d, m_a = removed_e.count(), added_e.count()
-    affected = (
-        G.vertices(removed_e)
-        .unionByName(G.vertices(added_e))
-        .distinct()
-        .coalesce(8)
-        .localCheckpoint(eager=True)
-    )
-    n_affected = affected.count()
-    if n_affected == 0:
-        stats = UpdateStats(m_a, m_d, 0, 0, 0, 0, 0)
-        return state, stats
+    was = pairs_in(keys, old_pairs)
+    now = (inserted | was) & ~deleted
+    added, removed = keys[now & ~was], keys[was & ~now]
+    affected = np.unique(np.concatenate([added, removed]))
+    if len(affected) == 0:
+        return state, UpdateStats(0, 0, 0, 0, 0, 0, 0)
 
-    new_adj = G.adjacency(new_edges).coalesce(16).localCheckpoint(eager=True)
-
-    # --- Phase 1: classify & re-pick affected rows -------------------------
-    old_aff = (
-        state.adjacency.join(F.broadcast(affected), "id")
-        .select("id", F.col("nbrs").alias("old_nbrs"))
-        .coalesce(8)
-        .localCheckpoint(eager=True)
-    )
-    new_aff = (
-        new_adj.join(F.broadcast(affected), "id")
-        .select("id", F.col("nbrs").alias("new_nbrs"))
-        .coalesce(8)
-        .localCheckpoint(eager=True)
-    )
-    vert_info = new_aff.join(old_aff, "id", "full_outer")
-    grid = vert_info.where(F.col("new_nbrs").isNotNull()).select(
-        "id",
-        "old_nbrs",
-        "new_nbrs",
-        F.explode(F.sequence(F.lit(1), F.lit(n_iters))).alias("t"),
-    )
-    old_rows = state.choices.join(F.broadcast(affected), "id")
-    dec = (
-        grid.join(old_rows, ["id", "t"], "left")
-        .withColumn("n_new", F.size("new_nbrs"))
-        .withColumn(
-            "added",
-            F.array_except(
-                "new_nbrs",
-                F.coalesce("old_nbrs", F.array().cast("array<long>")),
-            ),
-        )
-        .withColumn("n_add", F.size("added"))
-        .withColumn(
-            "keep_ok",
-            F.col("src").isNotNull() & F.array_contains("new_nbrs", F.col("src")),
+    # --- Adjacency: patch only the affected vertices' neighbor arrays ------
+    old_pairs = _sorted_pairs(old_pairs[np.isin(old_pairs[:, 0], affected)])
+    new_pairs = _sorted_pairs(
+        np.concatenate(
+            [old_pairs[~pairs_in(old_pairs, _both_ways(removed))], _both_ways(added)]
         )
     )
-    u_keep = unit_udf(seed, rand.KEEP, epoch)
-    i_src = mod_udf(seed, rand.NSRC, epoch)
-    i_pos = mod_udf(seed, rand.NPOS, epoch)
-    dec = (
-        dec.withColumn("u", u_keep("id", "t"))
-        .withColumn("idx_full", i_src(F.col("n_new"), F.col("id"), F.col("t")))
-        .withColumn("idx_add", i_src(F.col("n_add"), F.col("id"), F.col("t")))
-        .withColumn("new_pos", i_pos(F.col("t"), F.col("id"), F.col("t")))
-    )
-    keep_prob = (F.col("n_new") - F.col("n_add")) / F.col("n_new")
-    switch = F.col("keep_ok") & (F.col("n_add") > 0) & (F.col("u") >= keep_prob)
-    repick_full = ~F.col("keep_ok")
-    dec = dec.select(
-        "id",
-        "t",
-        F.when(repick_full, F.element_at("new_nbrs", (F.col("idx_full") + 1).cast("int")))
-        .when(switch, F.element_at("added", (F.col("idx_add") + 1).cast("int")))
-        .otherwise(F.col("src"))
-        .alias("src"),
-        F.when(repick_full | switch, F.col("new_pos").cast("int"))
-        .otherwise(F.col("pos"))
-        .alias("pos"),
-        (repick_full | switch).alias("changed"),
-    ).coalesce(8).localCheckpoint(eager=True)
+    survivors = np.unique(new_pairs[:, 0])  # affected vertices left with degree >= 1
+    dropped = np.setdiff1d(affected, survivors)
+    new_vertices = np.setdiff1d(survivors, old_pairs[:, 0])
+    new_flat, new_off = _csr(new_pairs, survivors)
+    aff_ids = pd.DataFrame({"id": affected})
 
-    # The updated choice table stays LAZY: one broadcast anti-join layer
-    # over the old (checkpointed) table plus the small decision frame. Scans
-    # remain cheap and nothing O(T*|V|) is rewritten per batch — the paper's
-    # "only visit vertices close to the changed edges" at the storage level.
-    unaffected = state.choices.join(F.broadcast(affected), "id", "left_anti")
-    new_choices = unaffected.unionByName(dec.select("id", "t", "src", "pos"))
-    frontier = (
-        dec.where("changed")
-        .select("id", "t", "src", "pos")
-        .coalesce(8)
+    new_edges = (
+        _patch(
+            state.edges,
+            pd.DataFrame(removed, columns=["src", "dst"]),
+            pd.DataFrame(added, columns=["src", "dst"]),
+        )
+        .coalesce(STATE_PARTS)
         .localCheckpoint(eager=True)
     )
-    n_repicked = frontier.count()
+    nbrs = [new_flat[a:b] for a, b in zip(new_off[:-1], new_off[1:])]
+    new_adj = (
+        _patch(state.adjacency, aff_ids, pd.DataFrame({"id": survivors, "nbrs": nbrs}))
+        .coalesce(STATE_PARTS)
+        .localCheckpoint(eager=True)
+    )
 
-    # --- Phase 2: Correction Propagation ----------------------------------
-    # Inside the loop only *small* frames (the message frontier and the
-    # updates overlay) are materialized; each round pays one broadcast-
-    # lookup scan of the static choice table (the receiver fan-out) — the
-    # dataflow analogue of Algorithm 2's per-message cost. The big tables
-    # themselves are never rewritten unless ``materialize`` asks for it.
-    spark = new_adj.sparkSession
-    # Lazy pre-update snapshot: old labels minus dropped vertices, plus
-    # anchor rows for brand-new vertices. Only vertices whose degree changed
-    # can join or leave the vertex set, and those are all in `affected`, so
-    # the deltas are small frames.
-    dropped = (
-        affected.join(new_aff.select("id"), "id", "left_anti")
-        .coalesce(8)
-        .localCheckpoint(eager=True)
+    # --- Phase 1: classify & re-pick the affected vertices' rows -----------
+    # Old rows in (vertex, t) order; vertices without rows keep zeros.
+    old = _lookup(state.choices, pd.DataFrame({"id": survivors}))
+    at = np.searchsorted(survivors, old["id"].to_numpy(np.int64)) * n_iters + (
+        old["t"].to_numpy(np.int64) - 1
     )
-    new_vs = (
-        new_aff.select("id")
-        .join(old_aff.select("id"), "id", "left_anti")
-        .coalesce(8)
-        .localCheckpoint(eager=True)
+    old_src = np.zeros(len(survivors) * n_iters, dtype=np.int64)
+    old_pos = np.zeros(len(survivors) * n_iters, dtype=np.int64)
+    old_src[at] = old["src"].to_numpy(np.int64)
+    old_pos[at] = old["pos"].to_numpy(np.int64)
+    src, pos, changed = repick_arrays(
+        survivors,
+        *_csr(old_pairs[np.isin(old_pairs[:, 0], survivors)], survivors),
+        new_flat,
+        new_off,
+        old_src,
+        old_pos,
+        n_iters,
+        seed,
+        epoch,
     )
-    new_vertex_rows = new_vs.select(
-        "id",
-        F.explode(F.sequence(F.lit(0), F.lit(n_iters))).alias("t"),
-        F.col("id").alias("label"),
+    dec = _rows(survivors, ts, src=src, pos=pos.astype(np.int32))
+    new_choices = _patch(state.choices, aff_ids, dec)
+    frontier = dec[changed]
+
+    # --- Phase 2: Correction Propagation, one Spark action per round --------
+    # Round-1 messages: each re-picked row carries the pre-update label of
+    # its new (src, pos). A source without label rows is a new vertex, whose
+    # pre-update sequence is its anchor: its own id.
+    src_keys = frontier[["src", "pos"]].drop_duplicates().set_axis(["id", "t"], axis=1)
+    found = _lookup(state.labels, src_keys).set_axis(["src", "pos", "label"], axis=1)
+    first = frontier.merge(found, on=["src", "pos"], how="left")
+    msgs = pd.DataFrame(
+        {
+            "id": first["id"],
+            "t": first["t"],
+            "label": first["label"].fillna(first["src"]).astype(np.int64),
+        }
     )
-    labels_init = state.labels.join(
-        F.broadcast(dropped), "id", "left_anti"
-    ).unionByName(new_vertex_rows)
-    init_view = labels_init.select(
-        F.col("id").alias("lid"), F.col("t").alias("lt"),
-        F.col("label").alias("llabel"),
-    )
-    updates = spark.createDataFrame([], "id long, t int, label long")
+    spark = state.labels.sparkSession
     rounds = 0
     round_deltas: List[int] = []
-
-    # Round 0: re-picked rows fetch their new source label from the snapshot
-    # (the overlay is still empty — every other row holds its old value, and
-    # stale reads are repaired by the message cascade below, exactly as in
-    # Algorithm 2). From here on, messages CARRY the new label value: the
-    # receiver fan-out join delivers (receiver_id, receiver_t, new_value) in
-    # one pass, so a round needs no label lookups and no compare pass —
-    # receivers are simply re-notified whenever their source was rewritten,
-    # and the t-monotone receiver DAG bounds the cascade by the propagation
-    # tree depth (O(log T) expected, <= T worst case).
-    dirty = (
-        F.broadcast(frontier)
-        .join(
-            init_view,
-            (frontier["src"] == init_view["lid"])
-            & (frontier["pos"] == init_view["lt"]),
-        )
-        .select("id", "t", F.col("llabel").alias("label"))
-        .coalesce(8)
-        .localCheckpoint(eager=True)
-    )
-    n_dirty = dirty.count()
-    while n_dirty > 0:
+    sent: List[pd.DataFrame] = []
+    while len(msgs):
         if rounds > n_iters + 1:
             raise RuntimeError("correction propagation did not converge")
         rounds += 1
-        round_deltas.append(n_dirty)
-        # Latest write wins: newer rounds overwrite older overlay entries.
-        prev_updates = updates
-        updates = (
-            updates.join(F.broadcast(dirty), ["id", "t"], "left_anti")
-            .unionByName(dirty)
-            .coalesce(8)
-            .localCheckpoint(eager=True)
+        round_deltas.append(len(msgs))
+        sent.append(msgs)
+        # Receivers: rows whose (src, pos) is a message's (id, t).
+        sources = spark.createDataFrame(
+            msgs.set_axis(["src", "pos", "label"], axis=1), "src long, pos int, label long"
         )
-        prev_updates.unpersist()
-        sources = dirty.select(
-            F.col("id").alias("sid"),
-            F.col("t").alias("st"),
-            F.col("label").alias("slabel"),
+        msgs = (
+            new_choices.join(F.broadcast(sources), ["src", "pos"])
+            .select("id", "t", "label")
+            .toPandas()
         )
-        prev_dirty = dirty
-        dirty = (
-            new_choices.join(
-                F.broadcast(sources),
-                (new_choices["src"] == sources["sid"])
-                & (new_choices["pos"] == sources["st"]),
-            )
-            .select(new_choices["id"], "t", F.col("slabel").alias("label"))
-            .coalesce(8)
-            .localCheckpoint(eager=True)
-        )
-        prev_dirty.unpersist()
-        n_dirty = dirty.count()
 
-    cur = (
-        labels_init.join(
-            F.broadcast(
-                updates.select(
-                    "id", "t", F.col("label").alias("new_label")
-                )
-            ),
-            ["id", "t"],
-            "left",
-        )
-        .select(
-            "id", "t", F.coalesce("new_label", "label").alias("label")
-        )
-    )
+    # Latest write wins: rounds are concatenated in order, so keeping the
+    # last row per (id, t) keeps the label of the last round to reach it.
+    updates = pd.concat(sent or [msgs]).drop_duplicates(["id", "t"], keep="last")
+    anchors = _rows(new_vertices, ts0, label=np.repeat(new_vertices, len(ts0)))
+    overlay = pd.concat([updates, anchors]).drop_duplicates(["id", "t"])
+    gone = _rows(dropped, ts0)
+    cur = _patch(state.labels, pd.concat([overlay[["id", "t"]], gone]), overlay)
     if materialize:
-        cur = cur.localCheckpoint(eager=True)
-        new_choices = new_choices.localCheckpoint(eager=True)
+        cur = cur.coalesce(STATE_PARTS).localCheckpoint(eager=True)
+        new_choices = new_choices.coalesce(STATE_PARTS).localCheckpoint(eager=True)
 
     if compute_stats:
-        # η accounting: final-vs-initial diff restricted to the overlay
-        # (only overlaid rows can differ), plus the re-picked frontier.
-        value_changed = (
-            F.broadcast(
-                updates.select("id", "t", F.col("label").alias("new_label"))
-            )
-            .join(labels_init, ["id", "t"])
-            .where(F.col("new_label") != F.col("label"))
-            .select("id", "t")
-            .coalesce(8)
-            .localCheckpoint(eager=True)
+        # η accounting: only overlaid rows can differ from their pre-update
+        # label (a new vertex's is its own id); add the re-picked rows.
+        before = updates.merge(
+            _lookup(state.labels, updates[["id", "t"]]),
+            on=["id", "t"],
+            how="left",
+            suffixes=("", "_old"),
         )
-        n_value_changed = value_changed.count()
-        eta = (
-            frontier.select("id", "t")
-            .unionByName(value_changed)
-            .distinct()
-            .count()
-        )
+        moved = before["label"] != before["label_old"].fillna(before["id"])
+        changed_keys = before.loc[moved, ["id", "t"]]
+        n_value_changed = len(changed_keys)
+        eta = len(pd.concat([frontier[["id", "t"]], changed_keys]).drop_duplicates())
     else:
         n_value_changed = -1
         eta = -1
@@ -337,10 +315,10 @@ def apply_batch(
         epoch=epoch,
     )
     stats = UpdateStats(
-        m_inserted=m_a,
-        m_deleted=m_d,
-        n_affected_vertices=n_affected,
-        n_repicked=n_repicked,
+        m_inserted=len(added),
+        m_deleted=len(removed),
+        n_affected_vertices=len(affected),
+        n_repicked=len(frontier),
         n_value_changed=n_value_changed,
         eta=eta,
         rounds=rounds,

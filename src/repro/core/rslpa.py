@@ -34,27 +34,27 @@ class RslpaState:
     epoch: int  # bumps once per applied batch -> fresh re-pick draws
 
 
-_N_STATE_PARTS = 16  # state tables are scan-heavy; keep task counts low
+STATE_PARTS = 16  # state tables are scan-heavy; keep task counts low
 
 
 def run_static(edges: DataFrame, n_iters: int, seed: int) -> RslpaState:
     """Algorithm 1 from scratch on a static graph."""
     edges = (
         G.canonical_edges(edges)
-        .coalesce(_N_STATE_PARTS)
+        .coalesce(STATE_PARTS)
         .localCheckpoint(eager=True)
     )
     adj = (
-        G.adjacency(edges).coalesce(_N_STATE_PARTS).localCheckpoint(eager=True)
+        G.adjacency(edges).coalesce(STATE_PARTS).localCheckpoint(eager=True)
     )
     choices = (
         draw_choices(adj, n_iters, seed, epoch=0)
-        .coalesce(_N_STATE_PARTS)
+        .coalesce(STATE_PARTS)
         .localCheckpoint(eager=True)
     )
     labels = (
         resolve_labels(adj, choices)
-        .coalesce(_N_STATE_PARTS)
+        .coalesce(STATE_PARTS)
         .localCheckpoint(eager=True)
     )
     return RslpaState(

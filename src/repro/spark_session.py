@@ -1,11 +1,11 @@
 """Local SparkSession bootstrap for the ``jobs/`` entry points.
 
 pytest runs use the session fixture in ``conftest.py``; standalone jobs
-(``python jobs/<name>.py`` or ``spark-submit``) go through here so they get
-the same memory sizing (driver memory must be fixed before the JVM starts,
-hence the env-var dance) and the same session configs: shuffle partitions,
-Arrow, and broadcast joins disabled (explicit ``F.broadcast`` hints still
-apply where an algorithm calls for them).
+(``python jobs/<name>.py`` or ``spark-submit``) go through here. Both get
+their JVM launch settings from ``set_launch_env`` (driver memory must be
+fixed before the JVM starts, hence the env-var dance) and the same session
+configs: shuffle partitions, Arrow, and broadcast joins disabled (explicit
+``F.broadcast`` hints still apply where an algorithm calls for them).
 """
 from __future__ import annotations
 
@@ -13,7 +13,18 @@ import os
 
 
 def _driver_mem() -> str:
-    """~75% of the cgroup memory limit, else 16g (mirrors conftest.py)."""
+    """Driver heap for a local-mode JVM.
+
+    Precedence: ``SPARK_DRIVER_MEM`` (explicit override) > ~75% of the
+    cgroup v2/v1 memory limit > half of ``/proc/meminfo`` MemTotal clamped
+    to 2–8g (the fallback the documented test command uses) > 2g. The source
+    is recorded in ``_SPARK_DRIVER_MEM_SRC``.
+
+    The cgroup read is best-effort: a sandbox's sysfs emulation may not pass
+    the host limit through. An unbounded value (cgroup-v1's ~9.2e18
+    "unlimited" sentinel, or a missing limit) is treated as absent so the
+    JVM is never handed an impossible heap.
+    """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
     for p in (
@@ -21,19 +32,30 @@ def _driver_mem() -> str:
         "/sys/fs/cgroup/memory/memory.limit_in_bytes",
     ):
         try:
-            raw = open(p).read().strip()
+            with open(p) as f:
+                raw = f.read().strip()
             if not raw or raw == "max":
                 continue
             gib = int(raw) / (1 << 30)
-            if 1 <= gib <= 1024:
+            if 1 <= gib <= 1024:  # v1 "unlimited" -> ~8.6e9 GiB
+                os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
                 return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
-    return "16g"
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(ln.split()[1]) for ln in f if ln.startswith("MemTotal:"))
+        os.environ["_SPARK_DRIVER_MEM_SRC"] = "meminfo"
+        return f"{min(8, max(2, kib // (2 << 20)))}g"
+    except (OSError, ValueError, StopIteration, IndexError):
+        os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
+        return "2g"
 
 
-def local_session(app_name: str):
-    """A local[*] session sized like the test fixture's."""
+def set_launch_env() -> None:
+    """Default the JVM launch settings (master, driver memory) in the
+    environment. They are read when the JVM starts, not from SparkConf, so
+    this must run before anything in the process starts a JVM."""
     os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
@@ -42,6 +64,11 @@ def local_session(app_name: str):
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false pyspark-shell",
     )
+
+
+def local_session(app_name: str):
+    """A local[*] session sized like the test fixture's."""
+    set_launch_env()
     from pyspark.sql import SparkSession
 
     s = (

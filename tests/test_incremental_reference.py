@@ -10,6 +10,7 @@ import pandas as pd
 import pytest
 
 from repro.core import complexity as cx
+from repro.core.choices import repick_arrays
 from repro.reference.incremental_ref import (
     apply_edits_pdf,
     canon_pdf,
@@ -95,6 +96,49 @@ class TestInvariant:
         st2, stats = ref_apply_batch(st, None, None)
         assert stats["eta"] == 0 and stats["n_repicked"] == 0
         assert np.array_equal(st.labels, st2.labels)
+
+
+class TestRepickKernel:
+    """The vectorised phase-1 kernel the Spark engine runs on the driver
+    equals the reference engine's per-vertex loop."""
+
+    @pytest.mark.parametrize("bseed", [0, 1, 2])
+    def test_matches_reference_rows(self, bseed):
+        T, seed = 12, 7
+        st = ref_run_static(web_graph(n=200, avg_degree=6, seed=3), T, seed)
+        ins, dele = edit_batch(st.edges, 40, seed=bseed)
+        ins = pd.concat([ins, _pdf([(1000, 0), (1000, 1)])])  # a new vertex
+        st2, stats = ref_apply_batch(st, ins, dele)
+        old_e = set(map(tuple, st.edges.to_numpy().tolist()))
+        new_e = set(map(tuple, st2.edges.to_numpy().tolist()))
+        affected = {v for e in old_e ^ new_e for v in e}
+        ids = np.array(sorted(affected & set(st2.g.ids.tolist())), dtype=np.int64)
+
+        def row_of(g, v):
+            i = int(np.searchsorted(g.ids, v))
+            return i if i < g.n and g.ids[i] == v else None
+
+        def csr(g):
+            rows = [
+                g.nbrs_flat[g.offsets[i] : g.offsets[i + 1]] if i is not None else []
+                for i in (row_of(g, v) for v in ids)
+            ]
+            flat = np.concatenate([np.asarray(r, np.int64) for r in rows])
+            return flat, np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+
+        def old_rows(table):
+            zero = np.zeros(T, np.int64)
+            return np.concatenate(
+                [zero if (i := row_of(st.g, v)) is None else table[i] for v in ids]
+            )
+
+        src, pos, changed = repick_arrays(
+            ids, *csr(st.g), *csr(st2.g), old_rows(st.src), old_rows(st.pos), T, seed, st2.epoch
+        )
+        rows = st2.g.index_of(ids)
+        assert np.array_equal(src.reshape(-1, T), st2.src[rows])
+        assert np.array_equal(pos.reshape(-1, T), st2.pos[rows])
+        assert changed.sum() == stats["n_repicked"]
 
 
 class TestCategories:
