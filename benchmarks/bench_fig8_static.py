@@ -63,9 +63,7 @@ def test_slpa_post_processing(benchmark, slpa_mem):
 
 def test_rslpa_post_processing(benchmark, rslpa_state):
     res = benchmark.pedantic(
-        lambda: postprocess(
-            rslpa_state.edges, rslpa_state.labels, T_RSLPA, n_candidates=6
-        ),
+        lambda: postprocess(rslpa_state.edges, rslpa_state.labels, T_RSLPA),
         rounds=1,
         iterations=1,
     )

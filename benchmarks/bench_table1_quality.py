@@ -28,9 +28,7 @@ def lfr():
 def test_rslpa_quality_pipeline(benchmark, lfr):
     def pipeline():
         st = ref_run_static(lfr.edges, T_RSLPA, seed=1)
-        cover, t1, t2 = postprocess_ref(
-            lfr.edges, st.g, st.labels, n_candidates=24
-        )
+        cover, t1, t2 = postprocess_ref(lfr.edges, st.g, st.labels)
         return cover
 
     cover = benchmark.pedantic(pipeline, rounds=2, iterations=1)
@@ -64,9 +62,7 @@ def test_rslpa_quality_high_overlap(benchmark):
 
     def pipeline():
         st = ref_run_static(res.edges, T_RSLPA, seed=1)
-        cover, _, _ = postprocess_ref(
-            res.edges, st.g, st.labels, n_candidates=24
-        )
+        cover, _, _ = postprocess_ref(res.edges, st.g, st.labels)
         slpa_cover = slpa_communities_ref(res.edges, T_SLPA, seed=1, tau=0.2)
         return cover, slpa_cover
 

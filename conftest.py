@@ -9,7 +9,7 @@ _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.spark_session import set_launch_env  # noqa: E402
+from repro.spark_session import local_session, set_launch_env  # noqa: E402
 
 # Driver memory and master go into PYSPARK_SUBMIT_ARGS before pyspark is
 # imported anywhere: this runs at conftest import, which pytest loads before
@@ -17,30 +17,14 @@ from repro.spark_session import set_launch_env  # noqa: E402
 set_launch_env()
 
 import pytest  # noqa: E402
-from pyspark.sql import SparkSession  # noqa: E402
 
 
 @pytest.fixture(scope="session")
-def spark() -> SparkSession:
-    """One local-mode SparkSession for the whole test session.
-
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+def spark():
+    """One local-mode SparkSession for the whole test session, from the same
+    bootstrap as the standalone jobs (``repro.spark_session.local_session``).
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = local_session("repro")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

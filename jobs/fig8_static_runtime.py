@@ -52,7 +52,7 @@ def run(spark: SparkSession, n: int, t_slpa: int, seed: int) -> Dict[str, float]
     st = run_static(edges, t_rslpa, seed)
     rslpa_lp = time.time() - t0
     t0 = time.time()
-    res = detect_communities(st, n_candidates=6)
+    res = detect_communities(st)
     res.communities.count()
     rslpa_pp = time.time() - t0
 

@@ -28,11 +28,9 @@ from repro.reference.postprocess_ref import postprocess_ref
 from repro.slpa.reference import slpa_communities_ref
 
 
-def _nmi_rslpa(res, n_iters, seed, n_candidates=24) -> float:
+def _nmi_rslpa(res, n_iters, seed) -> float:
     st = ref_run_static(res.edges, n_iters, seed)
-    cover, _, _ = postprocess_ref(
-        res.edges, st.g, st.labels, n_candidates=n_candidates
-    )
+    cover, _, _ = postprocess_ref(res.edges, st.g, st.labels)
     return overlapping_nmi(cover, res.communities)
 
 

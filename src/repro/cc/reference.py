@@ -1,17 +1,13 @@
-"""Union-find connected components — correctness oracle and sweep engine.
+"""Union-find connected components for the rSLPA post-processing.
 
-Two uses:
-
-* oracle for the distributed CC of ``repro.cc.components`` (tests);
-* the τ1 sweep of the reference rSLPA engine: candidates are processed in
-  *descending* threshold order so edges are only ever added, and one
-  union-find instance amortizes the whole sweep.
+Both engines use it on the driver (``repro.core.postprocess``): the
+per-partition Kruskal that builds the maximum spanning forest, the
+descending τ1 sweep that adds edges to one union-find instance, and the
+strong-community extraction at τ1.
 """
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
-
-import numpy as np
 
 
 class UnionFind:
@@ -35,14 +31,16 @@ class UnionFind:
             v = p[v]
         return v
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> bool:
+        """Merge the components of ``a`` and ``b``; False if already one."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return
+            return False
         if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
+        return True
 
     def components(self) -> Dict[int, List[int]]:
         """Map from component root to sorted member list."""

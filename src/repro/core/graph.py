@@ -14,26 +14,8 @@ engine and the NumPy reference agree bit-for-bit.
 """
 from __future__ import annotations
 
-from typing import Iterable, Tuple
-
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-
-
-def edges_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """Load an edge list (columns ``src``, ``dst``) and canonicalize it."""
-    return canonical_edges(
-        spark.createDataFrame(pdf[["src", "dst"]].astype("int64"))
-    )
-
-
-def edges_from_pairs(
-    spark: SparkSession, pairs: Iterable[Tuple[int, int]]
-) -> DataFrame:
-    """Canonical edges from an iterable of (u, v) pairs (tests/toys)."""
-    pdf = pd.DataFrame(list(pairs), columns=["src", "dst"], dtype="int64")
-    return edges_from_pandas(spark, pdf)
 
 
 def canonical_edges(edges: DataFrame) -> DataFrame:
@@ -71,19 +53,3 @@ def adjacency(edges: DataFrame) -> DataFrame:
 def vertices(edges: DataFrame) -> DataFrame:
     """Distinct vertex ids appearing in the edge set: column ``id``."""
     return symmetrize(edges).select("id").distinct()
-
-
-def apply_edits(
-    edges: DataFrame, inserts: DataFrame | None, deletes: DataFrame | None
-) -> DataFrame:
-    """New canonical edge set after a batch of inserts and deletes.
-
-    Deletes are applied after inserts (an edge both inserted and deleted in
-    the same batch ends up absent, matching set semantics of one batch).
-    """
-    out = edges
-    if inserts is not None:
-        out = out.unionByName(canonical_edges(inserts)).distinct()
-    if deletes is not None:
-        out = out.join(canonical_edges(deletes), on=["src", "dst"], how="left_anti")
-    return out

@@ -68,10 +68,6 @@ def run_static(edges: DataFrame, n_iters: int, seed: int) -> RslpaState:
     )
 
 
-def detect_communities(
-    state: RslpaState, n_candidates: int = 8
-) -> PostprocessResult:
+def detect_communities(state: RslpaState) -> PostprocessResult:
     """Section III-B post-processing over the current label table."""
-    return postprocess(
-        state.edges, state.labels, state.n_iters, n_candidates=n_candidates
-    )
+    return postprocess(state.edges, state.labels, state.n_iters)

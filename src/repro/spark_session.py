@@ -1,10 +1,10 @@
-"""Local SparkSession bootstrap for the ``jobs/`` entry points.
+"""Local SparkSession bootstrap for the tests and the ``jobs/`` entry points.
 
-pytest runs use the session fixture in ``conftest.py``; standalone jobs
-(``python jobs/<name>.py`` or ``spark-submit``) go through here. Both get
-their JVM launch settings from ``set_launch_env`` (driver memory must be
-fixed before the JVM starts, hence the env-var dance) and the same session
-configs: shuffle partitions, Arrow, and broadcast joins disabled (explicit
+The pytest session fixture in ``conftest.py`` and the standalone jobs
+(``python jobs/<name>.py`` or ``spark-submit``) both call ``local_session``.
+JVM launch settings come from ``set_launch_env`` (driver memory must be
+fixed before the JVM starts, hence the env-var dance); the session configs
+are shuffle partitions, Arrow, and broadcast joins disabled (explicit
 ``F.broadcast`` hints still apply where an algorithm calls for them).
 """
 from __future__ import annotations
@@ -67,7 +67,7 @@ def set_launch_env() -> None:
 
 
 def local_session(app_name: str):
-    """A local[*] session sized like the test fixture's."""
+    """The local session of the tests and the jobs."""
     set_launch_env()
     from pyspark.sql import SparkSession
 

@@ -1,6 +1,7 @@
 """Tests for the community-size entropy, paper Eq. 1 (repro.metrics.entropy)."""
 import math
 
+import numpy as np
 import pytest
 
 from repro.metrics.entropy import size_entropy
@@ -44,3 +45,12 @@ class TestSizeEntropy:
 
     def test_zero_vertices(self):
         assert size_entropy([1, 2], 0) == 0.0
+
+    def test_permutation_invariant_bit_exact(self):
+        # The τ1 argmax compares entropies of the same communities found in
+        # different orders (forest vs all edges): they must be equal bits.
+        rng = np.random.default_rng(0)
+        sizes = rng.integers(2, 60, 500).tolist()
+        want = size_entropy(sizes, 20_000)
+        for _ in range(20):
+            assert size_entropy(rng.permutation(sizes).tolist(), 20_000) == want

@@ -97,25 +97,3 @@ class TestAdjacency:
             """,
             e=e,
         )
-
-
-class TestApplyEdits:
-    def test_insert_delete(self, spark, raw_edges):
-        df, _ = raw_edges
-        e = G.canonical_edges(df)
-        ins = spark.createDataFrame(pd.DataFrame({"src": [9], "dst": [8]}))
-        dele = spark.createDataFrame(pd.DataFrame({"src": [2], "dst": [1]}))
-        out = G.apply_edits(e, ins, dele).toPandas()
-        pairs = {tuple(r) for r in out.to_numpy()}
-        assert (8, 9) in pairs and (1, 2) not in pairs
-
-    def test_none_edits_noop(self, raw_edges):
-        df, _ = raw_edges
-        e = G.canonical_edges(df)
-        assert G.apply_edits(e, None, None).count() == e.count()
-
-    def test_insert_existing_is_noop(self, spark, raw_edges):
-        df, _ = raw_edges
-        e = G.canonical_edges(df)
-        ins = spark.createDataFrame(pd.DataFrame({"src": [2], "dst": [1]}))
-        assert G.apply_edits(e, ins, None).count() == e.count()

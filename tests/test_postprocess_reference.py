@@ -3,14 +3,13 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.postprocess import candidate_taus, select_tau1
+from repro.core.postprocess import candidate_taus, select_tau1, sweep_entropies
 from repro.reference.incremental_ref import canon_pdf
 from repro.reference.postprocess_ref import (
     edge_weights_ref,
     extract_cover,
     label_counts,
     postprocess_ref,
-    sweep_entropies,
     tau2_int_ref,
 )
 from repro.reference.rslpa_ref import build_graph, propagate
@@ -22,20 +21,16 @@ def _pdf(pairs):
 
 class TestCandidateTaus:
     def test_all_when_few(self):
-        assert candidate_taus([5, 1, 3], 0, 8) == [1, 3, 5]
+        assert candidate_taus([5, 1, 3], 0) == [1, 3, 5]
 
     def test_filters_below_tau2(self):
-        assert candidate_taus([1, 3, 5, 7], 4, 8) == [5, 7]
-
-    def test_thins_to_n(self):
-        out = candidate_taus(list(range(100)), 0, 5)
-        assert len(out) == 5 and out[0] == 0 and out[-1] == 99
+        assert candidate_taus([1, 3, 5, 7], 4) == [5, 7]
 
     def test_empty_fallback(self):
-        assert candidate_taus([], 7, 4) == [7]
+        assert candidate_taus([], 7) == [7]
 
     def test_ascending(self):
-        out = candidate_taus([9, 2, 5, 2, 7], 0, 10)
+        out = candidate_taus([9, 2, 5, 2, 7], 0)
         assert out == sorted(set(out))
 
 
@@ -123,13 +118,34 @@ class TestExtraction:
         assert ents[1][1] == pytest.approx(e10)
 
 
+class TestSweep:
+    def test_edge_order_does_not_change_entropies(self):
+        rng = np.random.default_rng(3)
+        pairs = np.unique(np.sort(rng.integers(0, 400, (300, 2)), axis=1), axis=0)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        w = pd.DataFrame(
+            {
+                "src": pairs[:, 0],
+                "dst": pairs[:, 1],
+                "w_int": rng.integers(0, 20, len(pairs)),
+            }
+        )
+        cands = candidate_taus(w["w_int"].unique(), 0)
+        want = sweep_entropies(w, cands, 400)
+        assert len({e for _, e in want}) > 10
+        for seed in range(10):
+            shuffled = w.sample(frac=1, random_state=seed)
+            shuffled[["src", "dst"]] = shuffled[["dst", "src"]].to_numpy()
+            assert sweep_entropies(shuffled, cands, 400) == want
+
+
 class TestEndToEnd:
     def test_two_cliques(self):
         cl1 = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         cl2 = [(i, j) for i in range(6, 12) for j in range(i + 1, 12)]
         edges = _pdf(cl1 + cl2 + [(5, 6)])
         g, src, pos, labels = propagate(edges, 80, seed=2)
-        cover, t1, t2 = postprocess_ref(edges, g, labels, n_candidates=12)
+        cover, t1, t2 = postprocess_ref(edges, g, labels)
         assert any(len(c & set(range(6))) >= 5 for c in cover)
         assert any(len(c & set(range(6, 12))) >= 5 for c in cover)
         assert t1 >= t2
@@ -139,7 +155,7 @@ class TestEndToEnd:
         cl2 = [(i, j) for i in range(6, 12) for j in range(i + 1, 12)]
         edges = _pdf(cl1 + cl2 + [(5, 6)])
         g, src, pos, labels = propagate(edges, 80, seed=2)
-        cover, _, _ = postprocess_ref(edges, g, labels, n_candidates=12)
+        cover, _, _ = postprocess_ref(edges, g, labels)
         covered = set().union(*cover) if cover else set()
         # τ2's "no isolated vertex" principle: all 12 vertices assigned.
         assert covered == set(range(12))

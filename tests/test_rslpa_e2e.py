@@ -26,9 +26,7 @@ class TestQualityReferenceEngine:
 
     def test_rslpa_nmi_high(self, lfr):
         st = ref_run_static(lfr.edges, 150, seed=3)
-        cover, _, _ = postprocess_ref(
-            lfr.edges, st.g, st.labels, n_candidates=16
-        )
+        cover, _, _ = postprocess_ref(lfr.edges, st.g, st.labels)
         assert overlapping_nmi(cover, lfr.communities) > 0.6
 
     def test_slpa_nmi_high(self, lfr):
@@ -41,17 +39,13 @@ class TestQualityReferenceEngine:
         scores = {}
         for T in (30, 150):
             st = ref_run_static(lfr.edges, T, seed=3)
-            cover, _, _ = postprocess_ref(
-                lfr.edges, st.g, st.labels, n_candidates=16
-            )
+            cover, _, _ = postprocess_ref(lfr.edges, st.g, st.labels)
             scores[T] = overlapping_nmi(cover, lfr.communities)
         assert scores[150] > scores[30]
 
     def test_detects_overlapping_vertices(self, lfr):
         st = ref_run_static(lfr.edges, 150, seed=3)
-        cover, _, _ = postprocess_ref(
-            lfr.edges, st.g, st.labels, n_candidates=16
-        )
+        cover, _, _ = postprocess_ref(lfr.edges, st.g, st.labels)
         membership = {}
         for c in cover:
             for v in c:
@@ -76,9 +70,9 @@ class TestDynamicScenarioSpark:
         st2, _ = apply_batch(
             st, spark.createDataFrame(ins), spark.createDataFrame(dele)
         )
-        inc = postprocess(st2.edges, st2.labels, 8, n_candidates=5)
+        inc = postprocess(st2.edges, st2.labels, 8)
         scratch_labels = resolve_labels(st2.adjacency, st2.choices)
-        scr = postprocess(st2.edges, scratch_labels, 8, n_candidates=5)
+        scr = postprocess(st2.edges, scratch_labels, 8)
         assert (inc.tau1_int, inc.tau2_int) == (scr.tau1_int, scr.tau2_int)
         assert {frozenset(c) for c in inc.cover()} == {
             frozenset(c) for c in scr.cover()
@@ -91,11 +85,9 @@ class TestDynamicScenarioSpark:
             seed=9,
         )
         st = run_static(spark.createDataFrame(res.edges), 40, seed=3)
-        cover = detect_communities(st, n_candidates=8).cover()
+        cover = detect_communities(st).cover()
         ref_st = ref_run_static(res.edges, 40, seed=3)
-        ref_cover, _, _ = postprocess_ref(
-            res.edges, ref_st.g, ref_st.labels, n_candidates=8
-        )
+        ref_cover, _, _ = postprocess_ref(res.edges, ref_st.g, ref_st.labels)
         # Engines identical end to end...
         assert {frozenset(c) for c in cover} == {
             frozenset(c) for c in ref_cover
