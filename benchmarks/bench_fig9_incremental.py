@@ -46,7 +46,7 @@ def test_incremental_update(benchmark, spark, base, batch):
     dele_df = spark.createDataFrame(dele).localCheckpoint(eager=True)
 
     def update():
-        new_st, stats = apply_batch(st, ins_df, dele_df, compute_stats=False)
+        new_st, stats = apply_batch(st, ins_df, dele_df)
         new_st.labels.count()  # run the work deferred into the lazy overlay
         return stats
 

@@ -57,7 +57,7 @@ def run(
         ins_df = spark.createDataFrame(ins).localCheckpoint(eager=True)
         dele_df = spark.createDataFrame(dele).localCheckpoint(eager=True)
         t0 = time.time()
-        new_st, stats = apply_batch(st, ins_df, dele_df, compute_stats=False)
+        new_st, stats = apply_batch(st, ins_df, dele_df)
         new_st.labels.count()  # run the work deferred into the lazy overlay
         inc_s = time.time() - t0
         _, ref_stats = ref_apply_batch(ref_st, ins, dele)

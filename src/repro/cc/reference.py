@@ -61,10 +61,3 @@ def components_of_edges(
         uf.union(u, v)
     return uf.components()
 
-
-def component_labels(
-    edges: Sequence[Tuple[int, int]], vertices: Iterable[int]
-) -> Dict[int, int]:
-    """Per-vertex component label = min id of its component."""
-    comps = components_of_edges(edges, vertices)
-    return {v: root for root, members in comps.items() for v in members}

@@ -36,11 +36,6 @@ def symmetrize(edges: DataFrame) -> DataFrame:
     return fwd.unionByName(rev)
 
 
-def degrees(edges: DataFrame) -> DataFrame:
-    """Per-vertex degree: columns ``id``, ``degree`` (deg-0 vertices absent)."""
-    return symmetrize(edges).groupBy("id").agg(F.count("*").alias("degree"))
-
-
 def adjacency(edges: DataFrame) -> DataFrame:
     """Per-vertex sorted neighbor array: columns ``id``, ``nbrs``."""
     return (

@@ -2,20 +2,21 @@
 
 Where the data lives. Every frame whose size follows the batch is held on
 the driver as pandas: the edit keys, the affected vertices' old adjacency
-and choice rows, the phase-1 decisions, each round's messages and the final
-label overlay. The O(T·|V|) tables (edges, adjacency, choices, labels) stay
-in Spark and are only *probed* with ``F.broadcast`` joins against those
-small frames, so a probe costs one Spark action and never reshuffles global
-state — the dataflow form of the paper's point that Correction Propagation
-sends small messages to receivers (Section IV-B/C). Driver memory is bounded
-by O(|affected|·T) rows for phase 1, plus one round's messages, plus the
-O(η) overlay of every round's messages (η = labels needing update, Eq. 8).
+and state rows, the phase-1 decisions, each round's messages and the final
+overlay. The two O(T·|V|) tables (adjacency, and the state table of
+``(id, t, src, pos, label)`` rows) stay in Spark and are only *probed* with
+``F.broadcast`` joins against those small frames, so a probe costs one
+Spark action and never reshuffles global state — the dataflow form of the
+paper's point that Correction Propagation sends small messages to receivers
+(Section IV-B/C). Driver memory is bounded by O(|affected|·T) rows for
+phase 1, plus one round's messages, plus the O(η) overlay of every round's
+messages (η = labels needing update, Eq. 8).
 
 Spark actions per batch: one to collect the batch keys, one for the touched
-vertices' old adjacency, one checkpoint each for the new edge and adjacency
-tables, one for the affected vertices' old choice rows, one label lookup for
-the re-picked rows' sources, **one per correction round**, and one label
-lookup for the η accounting (skipped with ``compute_stats=False``).
+vertices' old adjacency, one checkpoint of the new adjacency, one for the
+affected vertices' old state rows, one label lookup for the re-picked rows'
+sources, and **one per correction round**. Every row read carries its
+pre-batch label, so the η accounting needs no lookup of its own.
 
 Two phases, exactly as the paper structures them:
 
@@ -46,20 +47,24 @@ form the first message frame: each carries the label of its new
 messages to their *receivers* — the rows whose ``(src, pos)`` equals a
 message's ``(id, t)`` — which become the next round's messages, carrying the
 same label value. The paper materializes receiver records ``R_i``; here the
-choice table itself is the record and receivers are recovered by the reverse
-equi-join on ``(src, pos)`` — the same information, maintained for free
+state table's ``(src, pos)`` columns are the record and receivers are
+recovered by the reverse equi-join on ``(src, pos)`` — the same information, maintained for free
 (DESIGN.md Section 2). Because a receiver's iteration is strictly larger
 than its source's, the loop terminates within T rounds; in practice it runs
 for the depth of the perturbed propagation trees, O(log T) in expectation.
 Latest write wins: a row's new label is the one of the last round that
-reached it.
+reached it. The receivers are found in the *pre-batch* table, whose rows
+of affected vertices are then swapped on the driver for the matching rows
+of the phase-1 decisions — the same set as a probe of the updated choices,
+without building them in Spark.
 
-The new choice and label tables are lazy overlays (one broadcast anti-join
-plus a union with the small driver frame) over the previous tables; nothing
-O(T·|V|) is rewritten unless ``materialize`` asks for it. The final label
-table provably equals a from-scratch resolution of the updated choice table
-— the paper's "same communities as from scratch" claim, asserted
-bit-for-bit in tests.
+The new state table is one lazy overlay keyed by ``(id, t)`` (a broadcast
+anti-join of the updated keys and the dropped vertices' rows, plus a union
+with the updated rows and the new vertices' anchors) over the previous
+table; nothing O(T·|V|) is rewritten unless ``materialize`` asks for it.
+Its labels provably equal a from-scratch resolution of its choices — the
+paper's "same communities as from scratch" claim, asserted bit-for-bit in
+tests.
 """
 from __future__ import annotations
 
@@ -73,7 +78,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core.choices import pairs_in, repick_arrays
-from repro.core.rslpa import STATE_PARTS, RslpaState
+from repro.core.rslpa import RslpaState, checkpoint
 
 
 @dataclass
@@ -85,7 +90,7 @@ class UpdateStats:
     n_affected_vertices: int
     n_repicked: int  # rows re-picked in phase 1 (|F0|)
     n_value_changed: int  # rows whose final label differs from the old one
-    eta: int  # |F0 ∪ value-changed| — the paper's η (-1 if stats skipped)
+    eta: int  # |F0 ∪ value-changed| — the paper's η
     rounds: int  # correction-propagation message rounds until quiescence
     round_deltas: List[int] = field(default_factory=list)  # messages/round
 
@@ -155,22 +160,18 @@ def apply_batch(
     inserts: DataFrame | None,
     deletes: DataFrame | None,
     materialize: bool = False,
-    compute_stats: bool = True,
 ) -> tuple[RslpaState, UpdateStats]:
     """Evolve ``state`` under one batch of edge inserts/deletes.
 
     Set semantics per batch: deletes apply after inserts, so an edge both
     inserted and deleted ends up absent. ``materialize=True`` checkpoints the
-    updated label/choice tables (an O(T·|V|) rewrite) — useful before a long
-    run of subsequent batches to cap lineage depth; by default the new state
-    is a lazy overlay over the previous checkpointed state.
-    ``compute_stats=False`` skips the η accounting lookup (pure timing runs;
-    η then reads -1).
+    updated state table (an O(T·|V|) rewrite) — useful before a long run of
+    subsequent batches to cap lineage depth; by default the new table is a
+    lazy overlay over the previous checkpointed one.
     """
     n_iters, seed = state.n_iters, state.seed
     epoch = state.epoch + 1
     ts = np.arange(1, n_iters + 1, dtype=np.int32)
-    ts0 = np.arange(n_iters + 1, dtype=np.int32)
 
     # --- Edit diff: batch keys against the touched vertices' old neighbors --
     keys, inserted, deleted = _batch_keys(inserts, deletes)
@@ -200,34 +201,30 @@ def apply_batch(
     dropped = np.setdiff1d(affected, survivors)
     new_vertices = np.setdiff1d(survivors, old_pairs[:, 0])
     new_flat, new_off = _csr(new_pairs, survivors)
-    aff_ids = pd.DataFrame({"id": affected})
-
-    new_edges = (
-        _patch(
-            state.edges,
-            pd.DataFrame(removed, columns=["src", "dst"]),
-            pd.DataFrame(added, columns=["src", "dst"]),
-        )
-        .coalesce(STATE_PARTS)
-        .localCheckpoint(eager=True)
-    )
     nbrs = [new_flat[a:b] for a, b in zip(new_off[:-1], new_off[1:])]
-    new_adj = (
-        _patch(state.adjacency, aff_ids, pd.DataFrame({"id": survivors, "nbrs": nbrs}))
-        .coalesce(STATE_PARTS)
-        .localCheckpoint(eager=True)
+    new_adj = checkpoint(
+        _patch(
+            state.adjacency,
+            pd.DataFrame({"id": affected}),
+            pd.DataFrame({"id": survivors, "nbrs": nbrs}),
+        )
     )
 
     # --- Phase 1: classify & re-pick the affected vertices' rows -----------
-    # Old rows in (vertex, t) order; vertices without rows keep zeros.
-    old = _lookup(state.choices, pd.DataFrame({"id": survivors}))
+    # Old rows in (vertex, t) order; a vertex without rows (new, or back from
+    # degree 0) keeps zeros, and its old labels are its anchor sequence: its
+    # own id.
+    old = _lookup(state.table, pd.DataFrame({"id": survivors}))
+    old = old[old["t"] > 0]
     at = np.searchsorted(survivors, old["id"].to_numpy(np.int64)) * n_iters + (
         old["t"].to_numpy(np.int64) - 1
     )
     old_src = np.zeros(len(survivors) * n_iters, dtype=np.int64)
     old_pos = np.zeros(len(survivors) * n_iters, dtype=np.int64)
+    old_label = np.repeat(survivors, n_iters)
     old_src[at] = old["src"].to_numpy(np.int64)
     old_pos[at] = old["pos"].to_numpy(np.int64)
+    old_label[at] = old["label"].to_numpy(np.int64)
     src, pos, changed = repick_arrays(
         survivors,
         *_csr(old_pairs[np.isin(old_pairs[:, 0], survivors)], survivors),
@@ -239,25 +236,19 @@ def apply_batch(
         seed,
         epoch,
     )
-    dec = _rows(survivors, ts, src=src, pos=pos.astype(np.int32))
-    new_choices = _patch(state.choices, aff_ids, dec)
+    dec = _rows(survivors, ts, src=src, pos=pos.astype(np.int32), old=old_label)
     frontier = dec[changed]
 
     # --- Phase 2: Correction Propagation, one Spark action per round --------
-    # Round-1 messages: each re-picked row carries the pre-update label of
-    # its new (src, pos). A source without label rows is a new vertex, whose
-    # pre-update sequence is its anchor: its own id.
+    # Every message is a whole row (id, t, src, pos, label) plus its
+    # pre-batch label ``old``. Round-1 messages: each re-picked row carries
+    # the pre-update label of its new (src, pos). A source without label rows
+    # is a new vertex, whose pre-update sequence is its anchor: its own id.
     src_keys = frontier[["src", "pos"]].drop_duplicates().set_axis(["id", "t"], axis=1)
     found = _lookup(state.labels, src_keys).set_axis(["src", "pos", "label"], axis=1)
-    first = frontier.merge(found, on=["src", "pos"], how="left")
-    msgs = pd.DataFrame(
-        {
-            "id": first["id"],
-            "t": first["t"],
-            "label": first["label"].fillna(first["src"]).astype(np.int64),
-        }
-    )
-    spark = state.labels.sparkSession
+    msgs = frontier.merge(found, on=["src", "pos"], how="left")
+    msgs["label"] = msgs["label"].fillna(msgs["src"]).astype(np.int64)
+    spark = state.table.sparkSession
     rounds = 0
     round_deltas: List[int] = []
     sent: List[pd.DataFrame] = []
@@ -267,59 +258,54 @@ def apply_batch(
         rounds += 1
         round_deltas.append(len(msgs))
         sent.append(msgs)
-        # Receivers: rows whose (src, pos) is a message's (id, t).
+        # Receivers: rows whose (src, pos) is a message's (id, t) after
+        # phase 1, i.e. the pre-batch rows of unaffected vertices and the
+        # affected vertices' decisions.
+        heard = msgs[["id", "t", "label"]].set_axis(["src", "pos", "label"], axis=1)
         sources = spark.createDataFrame(
-            msgs.set_axis(["src", "pos", "label"], axis=1), "src long, pos int, label long"
+            heard.rename(columns={"label": "sent"}), "src long, pos int, sent long"
         )
-        msgs = (
-            new_choices.join(F.broadcast(sources), ["src", "pos"])
-            .select("id", "t", "label")
+        probed = (
+            state.table.join(F.broadcast(sources), ["src", "pos"])
+            .select(
+                "id", "t", "src", "pos", F.col("sent").alias("label"),
+                F.col("label").alias("old"),
+            )
             .toPandas()
+        )
+        msgs = pd.concat(
+            [probed[~probed["id"].isin(affected)], dec.merge(heard, on=["src", "pos"])],
+            ignore_index=True,
         )
 
     # Latest write wins: rounds are concatenated in order, so keeping the
     # last row per (id, t) keeps the label of the last round to reach it.
     updates = pd.concat(sent or [msgs]).drop_duplicates(["id", "t"], keep="last")
-    anchors = _rows(new_vertices, ts0, label=np.repeat(new_vertices, len(ts0)))
-    overlay = pd.concat([updates, anchors]).drop_duplicates(["id", "t"])
-    gone = _rows(dropped, ts0)
-    cur = _patch(state.labels, pd.concat([overlay[["id", "t"]], gone]), overlay)
+    anchors = pd.DataFrame(
+        {"id": new_vertices, "t": 0, "src": new_vertices, "pos": 0, "label": new_vertices}
+    ).astype({"t": np.int32, "pos": np.int32})
+    table = _patch(
+        state.table,
+        pd.concat([updates[["id", "t"]], _rows(dropped, np.arange(n_iters + 1, dtype=np.int32))]),
+        pd.concat([updates, anchors]),
+    )
     if materialize:
-        cur = cur.coalesce(STATE_PARTS).localCheckpoint(eager=True)
-        new_choices = new_choices.coalesce(STATE_PARTS).localCheckpoint(eager=True)
+        table = checkpoint(table)
 
-    if compute_stats:
-        # η accounting: only overlaid rows can differ from their pre-update
-        # label (a new vertex's is its own id); add the re-picked rows.
-        before = updates.merge(
-            _lookup(state.labels, updates[["id", "t"]]),
-            on=["id", "t"],
-            how="left",
-            suffixes=("", "_old"),
-        )
-        moved = before["label"] != before["label_old"].fillna(before["id"])
-        changed_keys = before.loc[moved, ["id", "t"]]
-        n_value_changed = len(changed_keys)
-        eta = len(pd.concat([frontier[["id", "t"]], changed_keys]).drop_duplicates())
-    else:
-        n_value_changed = -1
-        eta = -1
+    # η accounting: only updated rows can differ from their pre-batch label;
+    # add the re-picked rows.
+    moved = updates.loc[updates["label"] != updates["old"], ["id", "t"]]
+    eta = len(pd.concat([frontier[["id", "t"]], moved]).drop_duplicates())
 
     new_state = RslpaState(
-        edges=new_edges,
-        adjacency=new_adj,
-        choices=new_choices,
-        labels=cur,
-        n_iters=n_iters,
-        seed=seed,
-        epoch=epoch,
+        adjacency=new_adj, table=table, n_iters=n_iters, seed=seed, epoch=epoch
     )
     stats = UpdateStats(
         m_inserted=len(added),
         m_deleted=len(removed),
         n_affected_vertices=len(affected),
         n_repicked=len(frontier),
-        n_value_changed=n_value_changed,
+        n_value_changed=len(moved),
         eta=eta,
         rounds=rounds,
         round_deltas=round_deltas,

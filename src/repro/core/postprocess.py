@@ -7,7 +7,8 @@ Pipeline:
    ``w_ij = Σ_l f_i(l)·f_j(l) / (T+1)^2``. We carry the *integer* match count
    ``w_int = Σ_l f_i(l)·f_j(l)`` everywhere (thresholds included) so the
    Spark and NumPy engines agree bit-for-bit — floats appear only in reports.
-2. **τ2 = min_i max_j w_ij** (Eq. 2, "no isolated vertex").
+2. **τ2 = min_i max_j w_ij** (Eq. 2, "no isolated vertex"), read off the
+   maximum spanning forest of step 3 (``tau2_int_of``).
 3. **τ1 = argmax of community-size entropy** (Eq. 1) over every distinct
    weight in ``[τ2, max w]``, the paper's full grid. By the cut property, the
    components of the ``w ≥ τ`` graph are those of a maximum spanning forest
@@ -177,18 +178,19 @@ def edge_weights(edges: DataFrame, labels: DataFrame, n_iters: int) -> DataFrame
     )
 
 
-def tau2_int_of(weights: DataFrame) -> int:
-    """Eq. 2 on integer weights: min over vertices of max incident w_int."""
-    sym = weights.select(F.col("src").alias("id"), "w_int").unionByName(
-        weights.select(F.col("dst").alias("id"), "w_int")
-    )
-    row = (
-        sym.groupBy("id")
-        .agg(F.max("w_int").alias("mx"))
-        .agg(F.min("mx").alias("t2"))
-        .collect()[0]
-    )
-    return int(row["t2"]) if row["t2"] is not None else 0
+def tau2_int_of(forest: pd.DataFrame) -> int:
+    """Eq. 2 on integer weights, min over vertices of max incident w_int,
+    read off a maximum spanning forest of the weight table.
+
+    By the cut property for ``({v}, V∖{v})``, every maximum spanning forest
+    holds an edge at ``v`` of ``v``'s maximum incident weight, and every
+    vertex of the table lies on a forest edge.
+    """
+    if forest.empty:
+        return 0
+    ids = np.concatenate([forest["src"].to_numpy(), forest["dst"].to_numpy()])
+    w = np.tile(forest["w_int"].to_numpy(), 2)
+    return int(pd.Series(w).groupby(ids).max().min())
 
 
 @dataclass
@@ -221,7 +223,8 @@ def extract_communities(
     weights: DataFrame, forest: pd.DataFrame, tau1_int: int, tau2_int: int
 ) -> DataFrame:
     """Strong components of the forest at τ1 plus weak attachments over the
-    weight table at τ2: checkpointed rows (comp, id)."""
+    weight table at τ2: checkpointed rows (comp, id). The strong rows (at
+    most |V|) are built on the driver and broadcast to both probes."""
     strong = weights.sparkSession.createDataFrame(
         pd.DataFrame(
             [
@@ -241,8 +244,8 @@ def extract_communities(
     )
     weak = (
         sym.where(F.col("w_int") >= F.lit(tau2_int))
-        .join(strong.select(F.col("id").alias("a")), "a", "left_anti")
-        .join(strong.select(F.col("id").alias("b"), "comp"), "b")
+        .join(F.broadcast(strong.select(F.col("id").alias("a"))), "a", "left_anti")
+        .join(F.broadcast(strong.select(F.col("id").alias("b"), "comp")), "b")
         .select(F.col("a").alias("id"), "comp")
         .distinct()
     )
@@ -256,13 +259,13 @@ def detect_from_weights(weights: DataFrame, n_iters: int) -> PostprocessResult:
 
     Only the forest (≤ |V|−1 rows) and the distinct weights reach the driver.
     Every vertex of the table lies on a forest edge, so the forest also
-    gives |V|.
+    gives |V| and τ2.
     """
-    tau2 = tau2_int_of(weights)
+    forest = spanning_forest(weights)
+    tau2 = tau2_int_of(forest)
     distinct_w = [
         int(r["w_int"]) for r in weights.select("w_int").distinct().collect()
     ]
-    forest = spanning_forest(weights)
     n_vertices = len(np.unique(forest[["src", "dst"]].to_numpy()))
     entropies = sweep_entropies(
         forest, candidate_taus(distinct_w, tau2), n_vertices

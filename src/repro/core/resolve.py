@@ -1,4 +1,4 @@
-"""Label resolution: from the choice table to the label table.
+"""Label resolution: from the choice table to the rSLPA state table.
 
 Algorithm 1's recurrence is ``l_i^0 = i`` and
 ``l_i^t = l_{src_i^t}^{pos_i^t}`` with ``pos < t``: every ``(i, t)`` chases a
@@ -16,6 +16,10 @@ form of the paper's T-round message loop (expected chain depth is only
 Every ``(cid, ct)`` key is guaranteed to exist as a state row: ``src`` is a
 neighbor (degree ≥ 1, so it has rows for all t), ``pos < t ≤ T``, and anchors
 ``(j, 0) → (j, 0)`` are fixpoints. Hence the self-join is inner and lossless.
+
+Each row carries its own ``(src, pos)`` through the rounds, so the result is
+the whole rSLPA state table ``(id, t, src, pos, label)`` without a join back
+to the choice table.
 """
 from __future__ import annotations
 
@@ -28,23 +32,19 @@ from repro.core import choices as C
 def resolve_labels(
     adjacency: DataFrame, choice_table: DataFrame, max_rounds: int = 64
 ) -> DataFrame:
-    """Resolve the full label table ``(id, t, label)`` for ``t ∈ [0..T]``.
+    """Resolve the state table ``(id, t, src, pos, label)`` for ``t ∈ [0..T]``.
 
-    ``adjacency`` supplies the anchors (degree ≥ 1 vertices);
-    ``choice_table`` is the output of ``repro.core.choices.draw_choices``
-    (or its incrementally-maintained successor).
+    ``adjacency`` supplies the anchors ``(id, 0, id, 0, id)`` (degree ≥ 1
+    vertices); ``choice_table`` is the output of
+    ``repro.core.choices.draw_choices`` (or its incrementally-maintained
+    successor).
     """
-    state = (
-        choice_table.select(
-            "id", "t", F.col("src").alias("cid"), F.col("pos").alias("ct")
-        )
-        .unionByName(
-            C.base_rows(adjacency).select(
-                "id", "t", F.col("src").alias("cid"), F.col("pos").alias("ct")
-            )
-        )
-        .localCheckpoint(eager=True)
+    rows = choice_table.select("id", "t", "src", "pos").unionByName(
+        C.base_rows(adjacency)
     )
+    state = rows.select(
+        "*", F.col("src").alias("cid"), F.col("pos").alias("ct")
+    ).localCheckpoint(eager=True)
     for _ in range(max_rounds):
         pending = state.where(F.col("ct") > 0).limit(1).count()
         if pending == 0:
@@ -63,11 +63,16 @@ def resolve_labels(
                 "inner",
             )
             .select(
-                "id", "t", F.col("ncid").alias("cid"), F.col("nct").alias("ct")
+                "id",
+                "t",
+                "src",
+                "pos",
+                F.col("ncid").alias("cid"),
+                F.col("nct").alias("ct"),
             )
             .localCheckpoint(eager=True)
         )
         prev.unpersist()  # drop the superseded checkpoint's cached blocks
     else:  # pragma: no cover - max_rounds is far above log2(any feasible T)
         raise RuntimeError("pointer doubling did not converge")
-    return state.select("id", "t", F.col("cid").alias("label"))
+    return state.select("id", "t", "src", "pos", F.col("cid").alias("label"))

@@ -3,7 +3,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cc.reference import UnionFind, component_labels, components_of_edges
+from repro.cc.reference import UnionFind, components_of_edges
 
 
 class TestUnionFind:
@@ -41,10 +41,6 @@ class TestUnionFind:
     def test_isolated_vertices_are_singletons(self):
         comps = components_of_edges([(1, 2)], vertices=[1, 2, 3])
         assert comps[3] == [3]
-
-    def test_component_labels(self):
-        labels = component_labels([(1, 2), (3, 4)], [1, 2, 3, 4, 5])
-        assert labels == {1: 1, 2: 1, 3: 3, 4: 3, 5: 5}
 
 
 def _naive_components(edges, vertices):

@@ -49,19 +49,6 @@ class TestSymmetrizeDegrees:
         e = G.canonical_edges(df)
         assert G.symmetrize(e).count() == 2 * e.count()
 
-    def test_degrees_oracle(self, raw_edges):
-        df, _ = raw_edges
-        e = G.canonical_edges(df)
-        assert_equivalent(
-            G.degrees(e),
-            """
-            SELECT id, COUNT(*) AS degree FROM (
-                SELECT src AS id FROM e UNION ALL SELECT dst AS id FROM e
-            ) GROUP BY id
-            """,
-            e=e,
-        )
-
     def test_vertices_oracle(self, raw_edges):
         df, _ = raw_edges
         e = G.canonical_edges(df)

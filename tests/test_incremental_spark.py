@@ -21,7 +21,8 @@ SEED = 5
 
 def _sorted_labels(df):
     return (
-        df.toPandas()
+        df.select("id", "t", "label")
+        .toPandas()
         .sort_values(["id", "t"])
         .reset_index(drop=True)
         .astype("int64")
@@ -220,12 +221,13 @@ class TestLongStream:
 
 
 class TestJobBudget:
-    # Fixed jobs (edit keys, adjacency lookup and rebuild, edge rebuild,
-    # choice lookup, source-label lookup, η lookup; each probe adds its
-    # broadcast) plus one receiver join per round with its broadcasts. This
-    # batch measured 28 jobs in 5 rounds (13 + 3 per round); checkpointing
-    # and counting each round's frames instead took 88.
-    FIXED, PER_ROUND = 16, 4
+    # Fixed jobs (edit keys, adjacency lookup and checkpoint, old state-row
+    # lookup, source-label lookup; each probe adds its broadcast) plus one
+    # receiver join of the pre-batch table per round with its broadcast. This
+    # batch measured 19 jobs in 5 rounds (9 + 2 per round). Separate edge,
+    # choice and label tables took 28 (13 + 3 per round); checkpointing and
+    # counting each round's frames instead took 88.
+    FIXED, PER_ROUND = 9, 2
 
     def test_apply_batch_jobs_follow_rounds(self, spark, base):
         st, pdf = base

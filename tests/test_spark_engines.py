@@ -85,6 +85,7 @@ class TestResolveEquality:
         ch = draw_choices(adj, T_ITERS, SEED)
         sp = (
             resolve_labels(adj, ch)
+            .select("id", "t", "label")
             .toPandas()
             .sort_values(["id", "t"])
             .reset_index(drop=True)
